@@ -6,10 +6,10 @@
 // Usage:
 //
 //	cqa -db db.facts -ic constraints.ic check
-//	cqa -db db.facts -ic constraints.ic repairs [-classic] [-engine search|program] [-workers n]
-//	cqa -db db.facts -ic constraints.ic answers -query query.q [-engine search|program|cautious|direct|auto] [-workers n]
+//	cqa -db db.facts -ic constraints.ic repairs [-classic] [-engine search|program]
+//	cqa -db db.facts -ic constraints.ic answers -query query.q [-engine search|program|cautious|direct|auto]
 //	cqa -db db.facts -ic constraints.ic semantics
-//	cqa -db db.facts -ic constraints.ic -session script.txt [-engine ...] [-workers n]
+//	cqa -db db.facts -ic constraints.ic -session script.txt [-engine ...]
 //
 // -engine selects from the registry of internal/engine: search and program
 // materialize repairs; cautious answers by cautious stable-model reasoning;
@@ -25,10 +25,6 @@
 // -json switches the answers and session commands to the JSON wire schema
 // of internal/wire — one compact document per line, byte-identical to what
 // the cqad daemon serves for the same requests.
-//
-// -workers parallelizes the chosen engine: the search engine's state
-// expansion pool, or the program engines' grounding and per-component
-// stable-model solvers. Output is byte-identical for every worker count.
 //
 // -cpuprofile/-memprofile write runtime/pprof profiles of the whole
 // command, for bottleneck hunts without an ad-hoc harness.
@@ -49,7 +45,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/engine"
-	"repro/internal/ground"
 	"repro/internal/nullsem"
 	"repro/internal/parser"
 	"repro/internal/prof"
@@ -77,7 +72,6 @@ func run(args []string) (retErr error) {
 	engineFlag := fs.String("engine", "search", "CQA engine: "+strings.Join(engine.Names(), " | "))
 	jsonOut := fs.Bool("json", false, "emit results as JSON wire documents (answers and session commands)")
 	classic := fs.Bool("classic", false, "use the classic [2] repair semantics (repairs command, search engine)")
-	workers := fs.Int("workers", 1, "parallel workers for the selected engine (>= 1)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the command, post-GC) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -111,12 +105,6 @@ func run(args []string) (retErr error) {
 	if *engineFlag != "search" && cmd != "repairs" && cmd != "answers" && cmd != "session" {
 		return fmt.Errorf("-engine only applies to the repairs, answers, and session commands")
 	}
-	if *workers < 1 {
-		return fmt.Errorf("-workers must be >= 1 (got %d)", *workers)
-	}
-	if *workers > 1 && cmd != "repairs" && cmd != "answers" && cmd != "session" {
-		return fmt.Errorf("-workers only applies to the repairs, answers, and session commands")
-	}
 	if *classic && cmd != "repairs" {
 		return fmt.Errorf("-classic only applies to the repairs command")
 	}
@@ -139,7 +127,7 @@ func run(args []string) (retErr error) {
 	case "check":
 		return cmdCheck(d, set)
 	case "repairs":
-		return cmdRepairs(d, set, *engineFlag, *classic, *workers)
+		return cmdRepairs(d, set, *engineFlag, *classic)
 	case "answers":
 		if *queryArg == "" {
 			return fmt.Errorf("-query is required for the answers command")
@@ -148,20 +136,20 @@ func run(args []string) (retErr error) {
 		if err != nil {
 			return fmt.Errorf("loading -query: %w", err)
 		}
-		return cmdAnswers(d, set, q, *engineFlag, *workers, *jsonOut)
+		return cmdAnswers(d, set, q, *engineFlag, *jsonOut)
 	case "semantics":
 		return cmdSemantics(d, set)
 	case "session":
-		return cmdSession(d, set, *sessionArg, *engineFlag, *workers, *jsonOut)
+		return cmdSession(d, set, *sessionArg, *engineFlag, *jsonOut)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 }
 
-// engineOptions maps the -engine/-workers flags onto session options via
-// the shared registry; the answers and session commands share the mapping.
-func engineOptions(name string, workers int) (core.Options, error) {
-	return engine.Options(name, workers)
+// engineOptions maps the -engine flag onto session options via the shared
+// registry; the answers and session commands share the mapping.
+func engineOptions(name string) (core.Options, error) {
+	return engine.Options(name, 0)
 }
 
 // emitJSON writes one compact wire document per line, exactly as the cqad
@@ -225,7 +213,7 @@ func cmdCheck(d *relational.Instance, set *constraint.Set) error {
 	return nil
 }
 
-func cmdRepairs(d *relational.Instance, set *constraint.Set, name string, classic bool, workers int) error {
+func cmdRepairs(d *relational.Instance, set *constraint.Set, name string, classic bool) error {
 	if spec, ok := engine.Lookup(name); ok && !spec.Repairs {
 		return fmt.Errorf("-engine %s never materializes repairs: the repairs command wants search or program", name)
 	}
@@ -238,8 +226,7 @@ func cmdRepairs(d *relational.Instance, set *constraint.Set, name string, classi
 		if err != nil {
 			return err
 		}
-		tr.GroundOptions = ground.Options{Workers: workers}
-		insts, models, err := tr.StableRepairs(stable.Options{Workers: workers})
+		insts, models, err := tr.StableRepairs(stable.Options{})
 		if err != nil {
 			return err
 		}
@@ -249,7 +236,7 @@ func cmdRepairs(d *relational.Instance, set *constraint.Set, name string, classi
 		}
 		return nil
 	case "search":
-		opts := repair.Options{Workers: workers}
+		var opts repair.Options
 		if classic {
 			opts.Mode = repair.Classic
 		}
@@ -268,8 +255,8 @@ func cmdRepairs(d *relational.Instance, set *constraint.Set, name string, classi
 	}
 }
 
-func cmdAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, engine string, workers int, jsonOut bool) error {
-	opts, err := engineOptions(engine, workers)
+func cmdAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, engine string, jsonOut bool) error {
+	opts, err := engineOptions(engine)
 	if err != nil {
 		return err
 	}

@@ -42,8 +42,8 @@ func preparedResponse(p *session.Prepared) wire.AnswerResponse {
 // text: wire.AnswerResponse for query lines, wire.ApplyResponse for
 // insert/delete lines — the same documents the cqad daemon serves, so a
 // script replayed over HTTP is byte-comparable to this output.
-func cmdSession(d *relational.Instance, set *constraint.Set, script string, engine string, workers int, jsonOut bool) error {
-	opts, err := engineOptions(engine, workers)
+func cmdSession(d *relational.Instance, set *constraint.Set, script string, engine string, jsonOut bool) error {
+	opts, err := engineOptions(engine)
 	if err != nil {
 		return err
 	}

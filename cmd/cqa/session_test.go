@@ -107,32 +107,6 @@ func TestSessionJSONGolden(t *testing.T) {
 	}
 }
 
-// TestSessionWorkersDeterministic extends the CLI determinism pin to the
-// session transcript.
-func TestSessionWorkersDeterministic(t *testing.T) {
-	db, ic, _ := writeFixtures(t)
-	script := writeSessionScript(t, `
-		query q(V) :- s(U, V).
-		insert r(b, b). s(g, b).
-		delete r(a, b).
-		query q(X, Y) :- r(X, Y).
-	`)
-	for _, engine := range []string{"search", "program", "cautious"} {
-		args := []string{"-db", db, "-ic", ic, "-engine", engine, "-session", script}
-		seq, err := capture(t, func() error { return run(args) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := capture(t, func() error { return run(append([]string{"-workers", "4"}, args...)) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != par {
-			t.Errorf("engine %s: workers=4 session transcript differs:\n--- seq ---\n%s--- par ---\n%s", engine, seq, par)
-		}
-	}
-}
-
 // TestSessionErrorPaths pins the script-level and flag-level failures.
 func TestSessionErrorPaths(t *testing.T) {
 	db, ic, _ := writeFixtures(t)

@@ -54,6 +54,16 @@ import (
 	"time"
 )
 
+// Connection timeouts. ReadHeaderTimeout bounds how long a client may take
+// to send request headers, so stalled connections cannot pile up.
+// IdleTimeout bounds how long an idle keep-alive connection is held
+// between requests (without it, and with no ReadTimeout, net/http holds
+// idle connections forever); 120 s keeps live clients' connections open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "cqad:", err)
@@ -83,7 +93,12 @@ func run(args []string) error {
 	defer stop()
 	go srv.janitor(ctx)
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("cqad: listening on %s", *addr)

@@ -34,7 +34,16 @@ type config struct {
 	MaxSessions int
 	// now is the clock, injectable for eviction tests.
 	now func() time.Time
+	// maxBody caps request bodies (0 means maxBodyBytes), injectable so
+	// the 413 path can be tested without a 64 MiB body.
+	maxBody int64
 }
+
+// maxBodyBytes is the default request-body cap. The largest documents are
+// session creations with inline instances — a few hundred KiB for
+// thousands of facts — so the cap only stops a single request from
+// exhausting the daemon's memory.
+const maxBodyBytes = 64 << 20
 
 // server is the multi-tenant CQA daemon. Tenants are namespaces that share
 // nothing: every value, fact key and hash in this process is
@@ -59,6 +68,9 @@ func newServer(cfg config) *server {
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
+	}
+	if cfg.maxBody <= 0 {
+		cfg.maxBody = maxBodyBytes
 	}
 	s := &server{cfg: cfg, mux: http.NewServeMux(), tenants: map[string]*tenant{}}
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/sessions", s.handleCreate)
@@ -197,13 +209,26 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, errorBody{Error: msg, Code: code})
 }
 
+// statusError is a request failure with a fixed status and code, raised
+// inside a session's critical section and written once the lock is
+// released.
+type statusError struct {
+	status    int
+	code, msg string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
 // writeEngineError maps the typed errors of the session/engine stack onto
 // HTTP statuses: parse errors are the client's fault (400, with position),
 // budget limits are load shedding (422, retryable with a larger budget or
 // smaller input), cancellation reports 499, and everything else is a 500.
 func writeEngineError(w http.ResponseWriter, err error) {
 	var pe *parser.ParseError
+	var se *statusError
 	switch {
+	case errors.As(err, &se):
+		writeError(w, se.status, se.code, se.msg)
 	case errors.As(err, &pe):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: pe.Error(), Code: "parse", Line: pe.Line, Col: pe.Col})
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -218,6 +243,8 @@ func writeEngineError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusUnprocessableEntity, "direct_scope", err.Error())
 	case errors.As(err, new(*engine.UnknownError)):
 		writeError(w, http.StatusBadRequest, "bad_engine", err.Error())
+	case errors.As(err, new(*engine.WorkersError)):
+		writeError(w, http.StatusBadRequest, "bad_workers", err.Error())
 	case errors.Is(err, session.ErrInconsistentUnrepairable):
 		writeError(w, http.StatusInternalServerError, "unrepairable", err.Error())
 	default:
@@ -271,14 +298,42 @@ func shed(w http.ResponseWriter, t *tenant) bool {
 	return true
 }
 
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// decode reads a JSON request body of at most cfg.maxBody bytes, writing
+// the 400 (malformed) or 413 (too large) itself on failure.
+func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
 		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: "+err.Error())
 		return false
 	}
 	return true
+}
+
+// unlock releases ls.mu at the end of a critical section; defer it right
+// after ls.mu.Lock(). A panic raised inside the section (an engine fault)
+// may have left the session half-applied, so the session is evicted from
+// its tenant — later requests get 404 instead of a wedged lock or a corrupt
+// head — and the panic is re-raised for net/http to log.
+func (s *server) unlock(t *tenant, ls *liveSession) {
+	p := recover()
+	ls.mu.Unlock()
+	if p == nil {
+		return
+	}
+	t.mu.Lock()
+	if t.sessions[ls.name] == ls {
+		delete(t.sessions, ls.name)
+	}
+	t.mu.Unlock()
+	ls.closeSubs()
+	panic(p)
 }
 
 // engineOptions maps a request's engine selection onto session options via
@@ -307,7 +362,7 @@ type (
 
 func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if req.Name == "" || strings.ContainsAny(req.Name, "/ ") {
@@ -351,7 +406,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 	opts, err := engineOptions(req.Engine, req.Workers, req.MaxStates, req.MaxCandidates)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_engine", err.Error())
+		writeEngineError(w, err)
 		return
 	}
 
@@ -413,7 +468,7 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.release()
 	var req applyRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	var delta relational.Delta
@@ -437,9 +492,26 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 		delta.Removed = append(delta.Removed, inst.Facts()...)
 	}
 
+	resp, err := s.apply(r.Context(), t, ls, delta)
+	if err != nil {
+		writeEngineError(w, err)
+		return
+	}
+	for _, u := range resp.Updates {
+		if msg, err := json.Marshal(u); err == nil {
+			ls.broadcast(msg)
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// apply runs one update under the session lock, collecting the standing
+// queries' diffs.
+func (s *server) apply(ctx context.Context, t *tenant, ls *liveSession, delta relational.Delta) (wire.ApplyResponse, error) {
 	ls.mu.Lock()
+	defer s.unlock(t, ls)
 	ls.lastUsed = s.cfg.now()
-	res, err := ls.s.ApplyCtx(r.Context(), delta)
+	res, err := ls.s.ApplyCtx(ctx, delta)
 	if err != nil {
 		// The update itself is applied; only the refresh was
 		// interrupted. Drop any partial diffs — the affected standing
@@ -447,9 +519,7 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 		for _, st := range ls.order {
 			st.diff = nil
 		}
-		ls.mu.Unlock()
-		writeEngineError(w, err)
-		return
+		return wire.ApplyResponse{}, err
 	}
 	resp := wire.ApplyResponse{
 		Result:     wire.FromApplyResult(res),
@@ -464,14 +534,7 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 			st.diff = nil
 		}
 	}
-	ls.mu.Unlock()
-
-	for _, u := range resp.Updates {
-		if msg, err := json.Marshal(u); err == nil {
-			ls.broadcast(msg)
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -481,7 +544,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.release()
 	var req queryRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	q, err := parser.Query(req.Query)
@@ -490,45 +553,44 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ls.mu.Lock()
-	ls.lastUsed = s.cfg.now()
-	answer := func(ctx context.Context) (session.Answer, error) {
-		if req.Engine == "" {
-			return ls.s.AnswerCtx(ctx, q)
-		}
-		opts, err := engineOptions(req.Engine, req.Workers, 0, 0)
-		if err != nil {
-			return session.Answer{}, err
-		}
-		return core.ConsistentAnswersCtx(ctx, ls.s.Current(), ls.s.Set(), q, opts)
+	if req.Semantics != "" && req.Semantics != "certain" && req.Semantics != "possible" {
+		writeError(w, http.StatusBadRequest, "bad_semantics",
+			fmt.Sprintf("unknown semantics %q: want certain or possible", req.Semantics))
+		return
 	}
-	possible := func(ctx context.Context) ([]relational.Tuple, error) {
-		if req.Engine == "" {
-			return ls.s.PossibleCtx(ctx, q)
-		}
-		opts, err := engineOptions(req.Engine, req.Workers, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		return core.PossibleAnswersCtx(ctx, ls.s.Current(), ls.s.Set(), q, opts)
+	// Resolve the options even without an override, so a rejected worker
+	// count fails the request instead of being ignored.
+	opts, err := engineOptions(req.Engine, req.Workers, 0, 0)
+	if err != nil {
+		writeEngineError(w, err)
+		return
 	}
+	resp, err := s.query(r.Context(), t, ls, q, req, opts)
+	if err != nil {
+		writeEngineError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
 
+// query answers one request under the session lock: from the session's
+// caches, or — with an engine override — from a throwaway session over the
+// current head.
+func (s *server) query(ctx context.Context, t *tenant, ls *liveSession, q *query.Q, req queryRequest, opts session.Options) (wire.AnswerResponse, error) {
+	ls.mu.Lock()
+	defer s.unlock(t, ls)
+	ls.lastUsed = s.cfg.now()
 	resp := wire.AnswerResponse{Query: q.String()}
-	switch req.Semantics {
-	case "", "certain":
-		ans, err := answer(r.Context())
-		if err != nil {
-			ls.mu.Unlock()
-			writeEngineError(w, err)
-			return
+	if req.Semantics == "possible" {
+		var tuples []relational.Tuple
+		var err error
+		if req.Engine == "" {
+			tuples, err = ls.s.PossibleCtx(ctx, q)
+		} else {
+			tuples, err = core.PossibleAnswersCtx(ctx, ls.s.Current(), ls.s.Set(), q, opts)
 		}
-		resp.Answer = wire.FromAnswer(ans)
-	case "possible":
-		tuples, err := possible(r.Context())
 		if err != nil {
-			ls.mu.Unlock()
-			writeEngineError(w, err)
-			return
+			return resp, err
 		}
 		resp.Semantics = "possible"
 		if q.IsBoolean() {
@@ -536,14 +598,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		} else {
 			resp.Answer.Tuples = wire.FromTuples(tuples)
 		}
-	default:
-		ls.mu.Unlock()
-		writeError(w, http.StatusBadRequest, "bad_semantics",
-			fmt.Sprintf("unknown semantics %q: want certain or possible", req.Semantics))
-		return
+		return resp, nil
 	}
-	ls.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	var ans session.Answer
+	var err error
+	if req.Engine == "" {
+		ans, err = ls.s.AnswerCtx(ctx, q)
+	} else {
+		ans, err = core.ConsistentAnswersCtx(ctx, ls.s.Current(), ls.s.Set(), q, opts)
+	}
+	if err != nil {
+		return resp, err
+	}
+	resp.Answer = wire.FromAnswer(ans)
+	return resp, nil
 }
 
 func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -553,7 +621,7 @@ func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.release()
 	var req prepareRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	q, err := parser.Query(req.Query)
@@ -561,37 +629,45 @@ func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
+	resp, created, err := s.prepare(r.Context(), t, ls, q)
+	if err != nil {
+		writeEngineError(w, err)
+		return
+	}
+	status := http.StatusOK // idempotent re-prepare of the same query
+	if created {
+		status = http.StatusCreated
+	}
+	writeJSON(w, status, resp)
+}
+
+// prepare registers a standing query under the session lock, reporting
+// whether it is new; re-preparing the same query under its head name is
+// idempotent, a different one conflicts.
+func (s *server) prepare(ctx context.Context, t *tenant, ls *liveSession, q *query.Q) (wire.AnswerResponse, bool, error) {
 	name := q.Name
 	if name == "" {
 		name = "q"
 	}
-
 	ls.mu.Lock()
+	defer s.unlock(t, ls)
 	ls.lastUsed = s.cfg.now()
 	if st := ls.prepared[name]; st != nil {
-		defer ls.mu.Unlock()
 		if st.q.String() == q.String() {
-			// Idempotent re-prepare of the same query.
-			writeJSON(w, http.StatusOK, preparedResponse(st.p))
-			return
+			return preparedResponse(st.p), false, nil
 		}
-		writeError(w, http.StatusConflict, "query_exists",
-			fmt.Sprintf("session already has a different standing query named %q", name))
-		return
+		return wire.AnswerResponse{}, false, &statusError{http.StatusConflict, "query_exists",
+			fmt.Sprintf("session already has a different standing query named %q", name)}
 	}
-	p, err := ls.s.PrepareCtx(r.Context(), q)
+	p, err := ls.s.PrepareCtx(ctx, q)
 	if err != nil {
-		ls.mu.Unlock()
-		writeEngineError(w, err)
-		return
+		return wire.AnswerResponse{}, false, err
 	}
 	st := &standing{q: q, p: p}
 	p.Subscribe(func(u session.QueryUpdate) { st.diff = &u })
 	ls.prepared[name] = st
 	ls.order = append(ls.order, st)
-	resp := preparedResponse(p)
-	ls.mu.Unlock()
-	writeJSON(w, http.StatusCreated, resp)
+	return preparedResponse(p), true, nil
 }
 
 func (s *server) handleAnswers(w http.ResponseWriter, r *http.Request) {

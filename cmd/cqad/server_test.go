@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -427,7 +429,8 @@ func TestLoadShedding(t *testing.T) {
 
 // TestErrorPaths pins the HTTP mapping of the remaining typed errors.
 func TestErrorPaths(t *testing.T) {
-	_, hs := newTestServer(t, config{})
+	const maxBody = 4 << 10
+	_, hs := newTestServer(t, config{maxBody: maxBody})
 	base := hs.URL
 	createSession(t, base, "acme", "s1", "")
 	s1 := base + "/v1/tenants/acme/sessions/s1"
@@ -456,6 +459,12 @@ func TestErrorPaths(t *testing.T) {
 			http.StatusBadRequest, "bad_engine"},
 		{"bad engine at create", "POST", base + "/v1/tenants/acme/sessions", `{"name":"s9","instance_text":"r(a, b).","engine":"quantum"}`,
 			http.StatusBadRequest, "bad_engine"},
+		{"workers above 1 at create", "POST", base + "/v1/tenants/acme/sessions", `{"name":"s9","instance_text":"r(a, b).","workers":4}`,
+			http.StatusBadRequest, "bad_workers"},
+		{"workers above 1 on query", "POST", s1 + "/query", `{"query":"q() :- r(a, b).","workers":2}`,
+			http.StatusBadRequest, "bad_workers"},
+		{"body too large", "POST", s1 + "/query", `{"query":"q() :- r(a, b).` + strings.Repeat(" ", maxBody) + `"}`,
+			http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"conflicting standing query", "POST", s1 + "/prepare", `{"query":"q(X) :- r(X, Y)."}`,
 			0, ""}, // primer: registers q
 	}
@@ -472,6 +481,59 @@ func TestErrorPaths(t *testing.T) {
 	code, resp := doJSON(t, "POST", s1+"/prepare", `{"query":"q(V) :- s(U, V)."}`)
 	if code != http.StatusConflict || !strings.Contains(resp, "query_exists") {
 		t.Errorf("conflicting standing query: %d %s, want 409 query_exists", code, resp)
+	}
+}
+
+// TestEnginePanicEvictsSession pins that a panic inside a session's
+// critical section cannot wedge it: the injected clock, which handlers call
+// while holding the session lock, panics once during an apply; the next
+// request on that session must come back promptly with 404 (the session
+// was evicted, its head possibly half-applied), while the tenant's other
+// sessions keep serving.
+func TestEnginePanicEvictsSession(t *testing.T) {
+	var armed atomic.Bool
+	srv := newServer(config{now: func() time.Time {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected engine fault")
+		}
+		return time.Now()
+	}})
+	hs := httptest.NewUnstartedServer(srv)
+	hs.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic is expected
+	hs.Start()
+	t.Cleanup(func() {
+		if t.Failed() {
+			// Close waits for in-flight handlers, and a wedged one
+			// never returns: drop the connections and leak the server.
+			hs.CloseClientConnections()
+			return
+		}
+		hs.Close()
+	})
+	base := hs.URL + "/v1/tenants/acme/sessions/"
+	createSession(t, hs.URL, "acme", "s1", "")
+	createSession(t, hs.URL, "acme", "s2", "")
+
+	armed.Store(true)
+	client := &http.Client{Timeout: 5 * time.Second}
+	if resp, err := client.Post(base+"s1/apply", "application/json", strings.NewReader(`{"delete_text":"r(a, c)."}`)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("apply with a panicking engine answered %d; want the connection dropped", resp.StatusCode)
+	}
+
+	query := `{"query":"q(V) :- s(U, V)."}`
+	for _, tc := range []struct {
+		session string
+		want    int
+	}{{"s1", http.StatusNotFound}, {"s2", http.StatusOK}} {
+		resp, err := client.Post(base+tc.session+"/query", "application/json", strings.NewReader(query))
+		if err != nil {
+			t.Fatalf("%s: request after the panic did not return: %v", tc.session, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d after the panic, want %d", tc.session, resp.StatusCode, tc.want)
+		}
 	}
 }
 

@@ -74,14 +74,14 @@ func TestCautiousManyMatchesSingle(t *testing.T) {
 }
 
 // TestGroundOptionsDifferential runs the program engines with every
-// grounding configuration — semi-naive, naive ablation, parallel — and
+// grounding configuration — semi-naive and the naive ablation — and
 // checks the answers are identical: grounding options must never change
 // semantics.
 func TestGroundOptionsDifferential(t *testing.T) {
 	dsrc, setSrc := cautiousFixture()
 	d := parser.MustInstance(dsrc)
 	set := parser.MustConstraints(setSrc)
-	grounds := []ground.Options{{}, {Naive: true}, {Workers: 4}, {Naive: true, Workers: 4}}
+	grounds := []ground.Options{{}, {Naive: true}}
 	for _, engine := range []Engine{EngineProgram, EngineProgramCautious} {
 		for _, qsrc := range cautiousQueries {
 			q := parser.MustQuery(qsrc)

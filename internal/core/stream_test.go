@@ -69,72 +69,6 @@ func TestBooleanShortCircuit(t *testing.T) {
 	}
 }
 
-// TestAnswersParallelMatchesSequential asserts the streamed consistent and
-// possible answers are identical for workers=1 and workers=4 across query
-// shapes (run under -race in CI, this also exercises concurrent query
-// evaluation against the shared frozen base).
-func TestAnswersParallelMatchesSequential(t *testing.T) {
-	scenarios := []struct {
-		db, ic  string
-		queries []string
-	}{
-		{
-			db: `r(a, b). r(a, c). s(e, f). s(null, a).`,
-			ic: `
-				r(X, Y), r(X, Z) -> Y = Z.
-				s(U, V) -> r(V, W).
-				r(X, Y), isnull(X) -> false.
-			`,
-			queries: []string{`q(X) :- r(X, Y).`, `q(U) :- s(U, V), r(V, W).`, `q :- r(a, b).`, `q :- r(a, z).`},
-		},
-		{
-			db: `
-				course(21, c15). course(34, c18). course(77, c09).
-				student(21, "Ann"). student(45, "Paul").
-			`,
-			ic:      `course(Id, Code) -> student(Id, Name).`,
-			queries: []string{`q(Id) :- student(Id, Name).`, `q(Id, Code) :- course(Id, Code).`, `q :- course(34, c18).`},
-		},
-	}
-	for si, sc := range scenarios {
-		d := parser.MustInstance(sc.db)
-		set := parser.MustConstraints(sc.ic)
-		for _, qsrc := range sc.queries {
-			q := parser.MustQuery(qsrc)
-			seqOpts := NewOptions()
-			parOpts := NewOptions()
-			parOpts.Repair.Workers = 4
-			seq, err := ConsistentAnswers(d, set, q, seqOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := ConsistentAnswers(d, set, q, parOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameAnswer(seq, par, q); err != nil {
-				t.Errorf("scenario %d %q: workers=4 disagrees: %v\nseq: %+v\npar: %+v", si, qsrc, err, seq, par)
-			}
-			seqPoss, err := PossibleAnswers(d, set, q, seqOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parPoss, err := PossibleAnswers(d, set, q, parOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seqPoss) != len(parPoss) {
-				t.Fatalf("scenario %d %q: possible answers differ: %v vs %v", si, qsrc, seqPoss, parPoss)
-			}
-			for i := range seqPoss {
-				if !seqPoss[i].Equal(parPoss[i]) {
-					t.Errorf("scenario %d %q: possible answer %d differs: %v vs %v", si, qsrc, i, seqPoss[i], parPoss[i])
-				}
-			}
-		}
-	}
-}
-
 // TestShortCircuitAgreesWithProgramEngine guards the soundness of the
 // certificate: whenever the search engine short-circuits a boolean query,
 // the program engine (full stable-model pipeline) must agree the certain

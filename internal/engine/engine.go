@@ -114,21 +114,30 @@ func (e *UnknownError) Error() string {
 		e.Name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
 }
 
-// Options maps an engine name and worker count onto session options. Every
-// worker knob is set uniformly — each engine reads only its own section —
-// so one mapping serves the CLI flags, the daemon's wire fields, and the
-// facade. Unknown names fail with *UnknownError.
+// WorkersError reports a worker count above 1. Every engine runs one
+// request sequentially (concurrency comes from serving requests and
+// sessions in parallel, not from fanning one out), so the worker fields
+// kept in the wire schema accept only 0 and 1, both meaning sequential.
+type WorkersError struct {
+	Workers int
+}
+
+func (e *WorkersError) Error() string {
+	return fmt.Sprintf("workers = %d: engines run each request sequentially; use 0 or 1", e.Workers)
+}
+
+// Options maps an engine name onto session options, so one mapping serves
+// the CLI flags, the daemon's wire fields, and the facade. Unknown names
+// fail with *UnknownError; a worker count above 1 fails with *WorkersError.
 func Options(name string, workers int) (session.Options, error) {
 	opts := session.NewOptions()
 	spec, ok := Lookup(name)
 	if !ok {
 		return opts, &UnknownError{Name: name}
 	}
-	opts.Engine = spec.Engine
-	if workers > 0 {
-		opts.Repair.Workers = workers
-		opts.Stable.Workers = workers
-		opts.Ground.Workers = workers
+	if workers > 1 {
+		return opts, &WorkersError{Workers: workers}
 	}
+	opts.Engine = spec.Engine
 	return opts, nil
 }

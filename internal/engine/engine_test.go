@@ -22,15 +22,20 @@ func TestLookup(t *testing.T) {
 }
 
 func TestOptions(t *testing.T) {
-	opts, err := Options("direct", 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{0, 1} {
+		opts, err := Options("direct", workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Engine != session.EngineDirect {
+			t.Errorf("workers=%d: engine = %v, want direct", workers, opts.Engine)
+		}
 	}
-	if opts.Engine != session.EngineDirect {
-		t.Errorf("engine = %v, want direct", opts.Engine)
-	}
-	if opts.Repair.Workers != 3 || opts.Stable.Workers != 3 || opts.Ground.Workers != 3 {
-		t.Errorf("workers not applied uniformly: %+v", opts)
+
+	_, err := Options("direct", 3)
+	var werr *WorkersError
+	if !errors.As(err, &werr) || werr.Workers != 3 {
+		t.Fatalf("Options(direct, 3) err = %v, want *WorkersError", err)
 	}
 
 	_, err = Options("warp", 1)

@@ -2,8 +2,8 @@ package ground
 
 // Differential tests pinning the grounding rewrite's determinism contract:
 // the emitted program is a pure function of the input program — byte-
-// identical across the naive and semi-naive fixpoints, every worker count,
-// and the GroundBase+Extend split vs a monolithic grounding — checked over
+// identical across the naive and semi-naive fixpoints and the
+// GroundBase+Extend split vs a monolithic grounding — checked over
 // randomized programs with recursion, disjunction, negation, constraints,
 // and builtins.
 
@@ -160,15 +160,13 @@ func posVars(r logic.Rule) []string {
 }
 
 // TestDifferentialFixpointsAndWorkers pins the core determinism invariant:
-// for random programs, the semi-naive and naive fixpoints and every worker
-// count render the same program byte for byte.
+// for random programs, the semi-naive and naive fixpoints render the same
+// program byte for byte. (The rule-instantiation worker pool it once also
+// compared against is gone; instantiation is sequential.)
 func TestDifferentialFixpointsAndWorkers(t *testing.T) {
 	variants := []Options{
 		{},
 		{Naive: true},
-		{Workers: 4},
-		{Naive: true, Workers: 4},
-		{Workers: 7},
 	}
 	totalRules := 0
 	for seed := int64(0); seed < 60; seed++ {
@@ -199,50 +197,47 @@ func TestDifferentialFixpointsAndWorkers(t *testing.T) {
 // TestDifferentialExtendVsMonolithic pins the reuse contract: grounding the
 // base once and extending it with query-shaped rules is byte-identical —
 // same string, atom table, and rule list — to a monolithic grounding of the
-// combined program, at several worker counts.
+// combined program.
 func TestDifferentialExtendVsMonolithic(t *testing.T) {
 	sawExtRules := false
-	for _, workers := range []int{0, 4} {
-		for seed := int64(0); seed < 40; seed++ {
-			g := &progGen{rng: rand.New(rand.NewSource(1000 + seed))}
-			base := g.program()
-			ext := g.extRules()
-			opts := Options{Workers: workers}
+	for seed := int64(0); seed < 40; seed++ {
+		g := &progGen{rng: rand.New(rand.NewSource(1000 + seed))}
+		base := g.program()
+		ext := g.extRules()
 
-			mono, err := GroundWith(&logic.Program{
-				Facts: base.Facts,
-				Rules: append(append([]logic.Rule(nil), base.Rules...), ext...),
-			}, opts)
-			if err != nil {
-				t.Fatalf("seed %d: monolithic: %v", seed, err)
+		mono, err := GroundWith(&logic.Program{
+			Facts: base.Facts,
+			Rules: append(append([]logic.Rule(nil), base.Rules...), ext...),
+		}, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: monolithic: %v", seed, err)
+		}
+		bg, err := GroundBase(base, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: base: %v", seed, err)
+		}
+		baseStr := bg.String()
+		got, err := bg.Extend(ext)
+		if err != nil {
+			t.Fatalf("seed %d: extend: %v", seed, err)
+		}
+		if got.String() != mono.String() {
+			t.Fatalf("seed %d: extend diverges from monolithic:\n--- monolithic\n%s\n--- extend\n%s",
+				seed, mono.String(), got.String())
+		}
+		if len(got.Names) != len(mono.Names) {
+			t.Fatalf("seed %d: atom tables differ: %d vs %d atoms", seed, len(got.Names), len(mono.Names))
+		}
+		for i := range got.Names {
+			if got.Names[i] != mono.Names[i] {
+				t.Fatalf("seed %d: atom id %d differs: %q vs %q", seed, i, got.Names[i], mono.Names[i])
 			}
-			bg, err := GroundBase(base, opts)
-			if err != nil {
-				t.Fatalf("seed %d: base: %v", seed, err)
-			}
-			baseStr := bg.String()
-			got, err := bg.Extend(ext)
-			if err != nil {
-				t.Fatalf("seed %d: extend: %v", seed, err)
-			}
-			if got.String() != mono.String() {
-				t.Fatalf("seed %d workers %d: extend diverges from monolithic:\n--- monolithic\n%s\n--- extend\n%s",
-					seed, workers, mono.String(), got.String())
-			}
-			if len(got.Names) != len(mono.Names) {
-				t.Fatalf("seed %d: atom tables differ: %d vs %d atoms", seed, len(got.Names), len(mono.Names))
-			}
-			for i := range got.Names {
-				if got.Names[i] != mono.Names[i] {
-					t.Fatalf("seed %d: atom id %d differs: %q vs %q", seed, i, got.Names[i], mono.Names[i])
-				}
-			}
-			if len(got.Rules) > len(bg.Rules) {
-				sawExtRules = true
-			}
-			if bg.String() != baseStr {
-				t.Fatalf("seed %d: Extend mutated its base program", seed)
-			}
+		}
+		if len(got.Rules) > len(bg.Rules) {
+			sawExtRules = true
+		}
+		if bg.String() != baseStr {
+			t.Fatalf("seed %d: Extend mutated its base program", seed)
 		}
 	}
 	if !sawExtRules {

@@ -227,6 +227,18 @@ func TestExample17(t *testing.T) {
 	if ok {
 		t.Error("D3 must not be a repair")
 	}
+	for _, tc := range []struct {
+		cand *relational.Instance
+		want bool
+	}{{d1, true}, {inst(fact("P", s("b"), s("c"))), false}} {
+		got, err := IsRepair(d, set, tc.cand, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("IsRepair(%v) = %v, want %v", tc.cand, got, tc.want)
+		}
+	}
 }
 
 // --- Example 18 (cyclic RICs, Theorem 2 decidability) ------------------------

@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,62 +8,9 @@ import (
 	"repro/internal/nullsem"
 	"repro/internal/relational"
 	"repro/internal/term"
-	"repro/internal/value"
 )
 
-// TestParallelMatchesSequential is the tentpole differential test: for
-// randomized instances and constraint sets, the parallel search (workers=4)
-// must produce byte-identical Repairs and Deltas — content and order — to
-// the sequential search, along with the same states-explored and leaf
-// counts. Run under -race this also exercises the concurrent probes of the
-// shared frozen base.
-func TestParallelMatchesSequential(t *testing.T) {
-	universe := atomUniverse()
-	sets := bruteSets()
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 40; trial++ {
-		d := relational.NewInstance()
-		for _, f := range universe {
-			if rng.Intn(2) == 0 {
-				d.Insert(f)
-			}
-		}
-		set := sets[trial%len(sets)]
-		for _, mode := range []Mode{NullBased, Classic} {
-			seq, err := Repairs(d, set, Options{Mode: mode, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := Repairs(d, set, Options{Mode: mode, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// StatesExplored/Leaves are deliberately NOT asserted equal
-			// here: when one content is reachable through different
-			// insertion orders, the parallel race picks which overlay
-			// representative enters the memo, and its iteration order can
-			// steer firstViolation to a different (equally valid)
-			// violation. The repair set is schedule-independent anyway —
-			// every leaf set the search can produce is a consistent
-			// superset of Rep(D, IC), and the antichain filters any such
-			// superset to exactly Rep.
-			if len(seq.Repairs) != len(par.Repairs) {
-				t.Fatalf("trial %d mode %v: %d vs %d repairs", trial, mode, len(seq.Repairs), len(par.Repairs))
-			}
-			for i := range seq.Repairs {
-				if seq.Repairs[i].Key() != par.Repairs[i].Key() {
-					t.Fatalf("trial %d mode %v: repair %d differs: %v vs %v",
-						trial, mode, i, seq.Repairs[i], par.Repairs[i])
-				}
-				if !sameDelta(seq.Deltas[i], par.Deltas[i]) {
-					t.Fatalf("trial %d mode %v: delta %d differs: %v vs %v",
-						trial, mode, i, seq.Deltas[i], par.Deltas[i])
-				}
-			}
-		}
-	}
-}
-
+// sameDelta reports whether two deltas list equal facts in the same order.
 func sameDelta(a, b relational.Delta) bool {
 	if len(a.Removed) != len(b.Removed) || len(a.Added) != len(b.Added) {
 		return false
@@ -80,48 +26,6 @@ func sameDelta(a, b relational.Delta) bool {
 		}
 	}
 	return true
-}
-
-// TestParallelChainedFixes runs the worker pool on a deeper workload — bulk
-// FD violations whose fixes chain — under every worker count, pinning the
-// result against the sequential baseline.
-func TestParallelChainedFixes(t *testing.T) {
-	d := relational.NewInstance()
-	for i := 0; i < 4; i++ {
-		k := value.Str(fmt.Sprintf("k%d", i))
-		d.Insert(relational.F("r", k, value.Str("b")))
-		d.Insert(relational.F("r", k, value.Str("c")))
-	}
-	for i := 0; i < 32; i++ {
-		d.Insert(relational.F("r", value.Str(fmt.Sprintf("u%d", i)), value.Str("v")))
-	}
-	fd := constraint.MustSet(constraint.FD("r", 2, []int{0}, []int{1}), nil)
-	seq, err := Repairs(d, fd, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Repairs) != 16 {
-		t.Fatalf("sequential repairs = %d, want 16", len(seq.Repairs))
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := Repairs(d, fd, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Exact StatesExplored equality is safe to assert on this
-		// workload: FD fixes are deletions only, and deletion-only states
-		// iterate in base order regardless of the path that produced
-		// them, so expansion is content-determined.
-		if par.StatesExplored != seq.StatesExplored || len(par.Repairs) != len(seq.Repairs) {
-			t.Fatalf("workers=%d: %d states / %d repairs, want %d / %d",
-				workers, par.StatesExplored, len(par.Repairs), seq.StatesExplored, len(seq.Repairs))
-		}
-		for i := range seq.Repairs {
-			if seq.Repairs[i].Key() != par.Repairs[i].Key() {
-				t.Fatalf("workers=%d: repair %d differs", workers, i)
-			}
-		}
-	}
 }
 
 // example17RIC is the referential constraint of Example 17:
@@ -244,32 +148,5 @@ func TestConfirmMinimal(t *testing.T) {
 	d3.Insert(fact("R", s("b"), s("d")))
 	if ConfirmMinimal(d, d3, set, Options{}) {
 		t.Error("dominated D3 must not be confirmed minimal")
-	}
-}
-
-// TestIsRepairParallel re-runs the Example 17 membership checks through the
-// short-circuiting IsRepair under both worker counts.
-func TestIsRepairParallel(t *testing.T) {
-	d := inst(fact("P", s("a"), n()), fact("P", s("b"), s("c")), fact("R", s("a"), s("b")))
-	set := example17RIC()
-	d1 := d.Clone()
-	d1.Insert(fact("R", s("b"), n()))
-	d3 := d.Clone()
-	d3.Insert(fact("R", s("b"), s("d")))
-	inconsistent := inst(fact("P", s("b"), s("c")))
-	for _, workers := range []int{1, 4} {
-		opts := Options{Workers: workers}
-		for _, tc := range []struct {
-			cand *relational.Instance
-			want bool
-		}{{d1, true}, {d3, false}, {inconsistent, false}} {
-			got, err := IsRepair(d, set, tc.cand, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Errorf("workers=%d: IsRepair(%v) = %v, want %v", workers, tc.cand, got, tc.want)
-			}
-		}
 	}
 }

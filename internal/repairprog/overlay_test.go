@@ -2,6 +2,7 @@ package repairprog
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/constraint"
@@ -43,8 +44,8 @@ func factsEqual(a, b []relational.Fact) bool {
 // TestInterpretDeltaMatchesInterpret is the tentpole's byte-identity pin:
 // on randomized instances, every stable model's overlay repair must carry
 // exactly the materialized Interpret instance — same Facts(), and a Delta()
-// that matches both the emitted delta and Diff against the base — with the
-// stream identical across worker counts, under both pruning modes.
+// that matches both the emitted delta and Diff against the base — under
+// both pruning modes.
 func TestInterpretDeltaMatchesInterpret(t *testing.T) {
 	fd := constraint.FD("R", 2, []int{0}, []int{1})
 	fk := constraint.ForeignKey("S", 2, []int{1}, "R", 2, []int{0})
@@ -92,71 +93,42 @@ func TestInterpretDeltaMatchesInterpret(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-
-			// The (instance, delta) stream is identical at every worker
-			// count, including content order.
-			var sequential []string
-			for _, workers := range []int{1, 4} {
-				var stream []string
-				if err := tr.StreamRepairs(stable.Options{Workers: workers}, func(inst *relational.Instance, delta relational.Delta, _ stable.Model) bool {
-					stream = append(stream, inst.Key())
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if workers == 1 {
-					sequential = stream
-					continue
-				}
-				if len(stream) != len(sequential) {
-					t.Fatalf("trial %d prune=%v workers=%d: stream length %d != %d",
-						trial, prune, workers, len(stream), len(sequential))
-				}
-				for i := range stream {
-					if stream[i] != sequential[i] {
-						t.Fatalf("trial %d prune=%v workers=%d: stream diverges at %d",
-							trial, prune, workers, i)
-					}
-				}
-			}
 		}
 	}
 }
 
 // TestInterpretDeltaCutoff pins the MaxCandidates cutoff point: the overlay
 // stream must deliver the same prefix and the same error as the materialized
-// interpretation at every worker count, for budgets straddling the cutoff.
+// interpretation of the same model stream, for budgets straddling the
+// cutoff.
 func TestInterpretDeltaCutoff(t *testing.T) {
 	d, set := example19()
 	tr := mustBuild(t, d, set, VariantCorrected)
+	gp, err := tr.BaseGrounding()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		keys []string
+		err  error
+	}
 	for _, budget := range []int{1, 2, 3, 5, 8, 100} {
-		type outcome struct {
-			keys []string
-			err  error
+		opts := stable.Options{MaxCandidates: budget}
+		var overlay, materialized outcome
+		overlay.err = tr.StreamRepairs(opts, func(inst *relational.Instance, _ relational.Delta, _ stable.Model) bool {
+			overlay.keys = append(overlay.keys, inst.Key())
+			return true
+		})
+		materialized.err = stable.Enumerate(gp, opts, func(m stable.Model) bool {
+			materialized.keys = append(materialized.keys, tr.Interpret(gp, m).Key())
+			return true
+		})
+		if overlay.err != materialized.err {
+			t.Fatalf("budget=%d: overlay err %v != materialized %v", budget, overlay.err, materialized.err)
 		}
-		collect := func(workers int) outcome {
-			var out outcome
-			out.err = tr.StreamRepairs(stable.Options{MaxCandidates: budget, Workers: workers},
-				func(inst *relational.Instance, _ relational.Delta, _ stable.Model) bool {
-					out.keys = append(out.keys, inst.Key())
-					return true
-				})
-			return out
-		}
-		seq := collect(1)
-		for _, workers := range []int{2, 4} {
-			par := collect(workers)
-			if seq.err != par.err {
-				t.Fatalf("budget=%d workers=%d: err %v != sequential %v", budget, workers, par.err, seq.err)
-			}
-			if len(par.keys) != len(seq.keys) {
-				t.Fatalf("budget=%d workers=%d: %d repairs != sequential %d", budget, workers, len(par.keys), len(seq.keys))
-			}
-			for i := range par.keys {
-				if par.keys[i] != seq.keys[i] {
-					t.Fatalf("budget=%d workers=%d: stream diverges at %d", budget, workers, i)
-				}
-			}
+		if !reflect.DeepEqual(overlay.keys, materialized.keys) {
+			t.Fatalf("budget=%d: overlay stream %d repairs != materialized %d (or diverges)",
+				budget, len(overlay.keys), len(materialized.keys))
 		}
 	}
 }

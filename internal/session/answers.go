@@ -126,9 +126,7 @@ func (s *Session) searchAnswer(ctx context.Context, q *query.Q) (Answer, error) 
 	if short {
 		ans.ShortCircuited = true
 		// Exactly one repair — the confirmed counterexample — has been
-		// established; report that, deterministically across worker
-		// counts (the surviving-candidate count at the cancellation
-		// point is scheduling-dependent for Workers > 1).
+		// established; report that.
 		ans.NumRepairs = 1
 		return ans, nil
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/nullsem"
 	"repro/internal/parser"
 	"repro/internal/query"
@@ -19,7 +20,7 @@ import (
 // maintained violations, repair set, one-shot answers and standing-query
 // answers are byte-identical to a fresh scratch computation
 // (core.ConsistentAnswers et al.) on an independently built copy of the
-// mutated instance — for all three engines, workers {1, 4}, under -race.
+// mutated instance — for all three engines.
 
 // diffCase is one (IC set, query battery) scenario. The t relation is
 // deliberately unconstrained so random updates exercise the
@@ -29,8 +30,7 @@ type diffCase struct {
 	ics     string
 	queries []string
 	// seedN/steps size the run; the cyclic-RIC case stays small because
-	// its model count grows steeply with the instance (and the race
-	// detector multiplies every worker-pool step).
+	// its model count grows steeply with the instance.
 	seedN, steps int
 }
 
@@ -170,6 +170,9 @@ func answersEqual(a, b session.Answer) bool {
 
 func TestSessionEqualsScratchDifferential(t *testing.T) {
 	engines := []session.Engine{session.EngineSearch, session.EngineProgram, session.EngineProgramCautious}
+	// Options come from the engine registry with the wire schema's worker
+	// count 1 (sequential, the only mode), as the CLI and daemon build them.
+	const workers = 1
 	pool := factPool()
 	for _, tc := range diffCases {
 		set := parser.MustConstraints(tc.ics)
@@ -177,105 +180,103 @@ func TestSessionEqualsScratchDifferential(t *testing.T) {
 		for _, src := range tc.queries {
 			queries = append(queries, parser.MustQuery(src))
 		}
-		for _, engine := range engines {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s/%s/workers=%d", tc.name, engine, workers)
-				t.Run(name, func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(1009*workers) + int64(len(tc.name))))
-					db := seedDB(rng, pool, tc.seedN)
+		for _, eng := range engines {
+			name := fmt.Sprintf("%s/%s/workers=%d", tc.name, eng, workers)
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(1009*workers) + int64(len(tc.name))))
+				db := seedDB(rng, pool, tc.seedN)
 
-					opts := session.NewOptions()
-					opts.Engine = engine
-					opts.Repair.Workers = workers
-					opts.Stable.Workers = workers
+				opts, err := engine.Options(engine.NameOf(eng), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					s := session.New(db.instance(), set, opts)
-					var prepared []*session.Prepared
-					for _, q := range queries {
-						p, err := s.Prepare(q)
-						if err != nil {
-							t.Fatalf("Prepare(%s): %v", q, err)
-						}
-						prepared = append(prepared, p)
+				s := session.New(db.instance(), set, opts)
+				var prepared []*session.Prepared
+				for _, q := range queries {
+					p, err := s.Prepare(q)
+					if err != nil {
+						t.Fatalf("Prepare(%s): %v", q, err)
+					}
+					prepared = append(prepared, p)
+				}
+
+				for step := 0; step < tc.steps; step++ {
+					dl := randomDelta(rng, pool, db)
+					db.apply(dl)
+					if _, err := s.Apply(dl); err != nil {
+						t.Fatalf("step %d: Apply(%s): %v", step, dl, err)
+					}
+					scratch := db.instance()
+
+					// Consistency and maintained violations.
+					report := nullsem.Check(scratch, set, nullsem.NullAware)
+					if got, want := s.Consistent(), report.Consistent(); got != want {
+						t.Fatalf("step %d: Consistent() = %v, scratch %v", step, got, want)
+					}
+					gotV := violationKeys(s.Violations())
+					wantV := violationKeys(report.IC)
+					if fmt.Sprint(gotV) != fmt.Sprint(wantV) {
+						t.Fatalf("step %d: maintained violations %v != scratch %v", step, gotV, wantV)
 					}
 
-					for step := 0; step < tc.steps; step++ {
-						dl := randomDelta(rng, pool, db)
-						db.apply(dl)
-						if _, err := s.Apply(dl); err != nil {
-							t.Fatalf("step %d: Apply(%s): %v", step, dl, err)
-						}
-						scratch := db.instance()
-
-						// Consistency and maintained violations.
-						report := nullsem.Check(scratch, set, nullsem.NullAware)
-						if got, want := s.Consistent(), report.Consistent(); got != want {
-							t.Fatalf("step %d: Consistent() = %v, scratch %v", step, got, want)
-						}
-						gotV := violationKeys(s.Violations())
-						wantV := violationKeys(report.IC)
-						if fmt.Sprint(gotV) != fmt.Sprint(wantV) {
-							t.Fatalf("step %d: maintained violations %v != scratch %v", step, gotV, wantV)
-						}
-
-						// Repair set, byte-identical in canonical order.
-						sessionRepairs, err := s.Repairs()
-						if err != nil {
-							t.Fatalf("step %d: session Repairs: %v", step, err)
-						}
-						scratchRepairs, err := core.RepairsOf(scratch, set, opts)
-						if err != nil {
-							t.Fatalf("step %d: scratch RepairsOf: %v", step, err)
-						}
-						if len(sessionRepairs) != len(scratchRepairs) {
-							t.Fatalf("step %d: %d session repairs, %d scratch", step, len(sessionRepairs), len(scratchRepairs))
-						}
-						for i := range sessionRepairs {
-							if sessionRepairs[i].Key() != scratchRepairs[i].Key() {
-								t.Fatalf("step %d: repair %d differs\nsession: %s\nscratch: %s",
-									step, i, sessionRepairs[i], scratchRepairs[i])
-							}
-						}
-
-						// One-shot answers and maintained standing answers.
-						for qi, q := range queries {
-							want, err := core.ConsistentAnswers(scratch, set, q, opts)
-							if err != nil {
-								t.Fatalf("step %d: scratch ConsistentAnswers(%s): %v", step, q, err)
-							}
-							got, err := s.Answer(q)
-							if err != nil {
-								t.Fatalf("step %d: session Answer(%s): %v", step, q, err)
-							}
-							if !answersEqual(got, want) {
-								t.Fatalf("step %d query %s:\nsession %+v\nscratch %+v", step, q, got, want)
-							}
-							p := prepared[qi]
-							if q.IsBoolean() {
-								if p.Boolean() != want.Boolean {
-									t.Fatalf("step %d query %s: prepared Boolean %v, scratch %v", step, q, p.Boolean(), want.Boolean)
-								}
-							} else if tuplesKey(p.Answers()) != tuplesKey(want.Tuples) {
-								t.Fatalf("step %d query %s: prepared %v, scratch %v", step, q, p.Answers(), want.Tuples)
-							}
-						}
-
-						// Brave answers ride the same caches.
-						bq := queries[0]
-						wantP, err := core.PossibleAnswers(scratch, set, bq, opts)
-						if err != nil {
-							t.Fatalf("step %d: scratch PossibleAnswers: %v", step, err)
-						}
-						gotP, err := s.Possible(bq)
-						if err != nil {
-							t.Fatalf("step %d: session Possible: %v", step, err)
-						}
-						if tuplesKey(gotP) != tuplesKey(wantP) {
-							t.Fatalf("step %d: possible %v != scratch %v", step, gotP, wantP)
+					// Repair set, byte-identical in canonical order.
+					sessionRepairs, err := s.Repairs()
+					if err != nil {
+						t.Fatalf("step %d: session Repairs: %v", step, err)
+					}
+					scratchRepairs, err := core.RepairsOf(scratch, set, opts)
+					if err != nil {
+						t.Fatalf("step %d: scratch RepairsOf: %v", step, err)
+					}
+					if len(sessionRepairs) != len(scratchRepairs) {
+						t.Fatalf("step %d: %d session repairs, %d scratch", step, len(sessionRepairs), len(scratchRepairs))
+					}
+					for i := range sessionRepairs {
+						if sessionRepairs[i].Key() != scratchRepairs[i].Key() {
+							t.Fatalf("step %d: repair %d differs\nsession: %s\nscratch: %s",
+								step, i, sessionRepairs[i], scratchRepairs[i])
 						}
 					}
-				})
-			}
+
+					// One-shot answers and maintained standing answers.
+					for qi, q := range queries {
+						want, err := core.ConsistentAnswers(scratch, set, q, opts)
+						if err != nil {
+							t.Fatalf("step %d: scratch ConsistentAnswers(%s): %v", step, q, err)
+						}
+						got, err := s.Answer(q)
+						if err != nil {
+							t.Fatalf("step %d: session Answer(%s): %v", step, q, err)
+						}
+						if !answersEqual(got, want) {
+							t.Fatalf("step %d query %s:\nsession %+v\nscratch %+v", step, q, got, want)
+						}
+						p := prepared[qi]
+						if q.IsBoolean() {
+							if p.Boolean() != want.Boolean {
+								t.Fatalf("step %d query %s: prepared Boolean %v, scratch %v", step, q, p.Boolean(), want.Boolean)
+							}
+						} else if tuplesKey(p.Answers()) != tuplesKey(want.Tuples) {
+							t.Fatalf("step %d query %s: prepared %v, scratch %v", step, q, p.Answers(), want.Tuples)
+						}
+					}
+
+					// Brave answers ride the same caches.
+					bq := queries[0]
+					wantP, err := core.PossibleAnswers(scratch, set, bq, opts)
+					if err != nil {
+						t.Fatalf("step %d: scratch PossibleAnswers: %v", step, err)
+					}
+					gotP, err := s.Possible(bq)
+					if err != nil {
+						t.Fatalf("step %d: session Possible: %v", step, err)
+					}
+					if tuplesKey(gotP) != tuplesKey(wantP) {
+						t.Fatalf("step %d: possible %v != scratch %v", step, gotP, wantP)
+					}
+				}
+			})
 		}
 	}
 }

@@ -7,18 +7,15 @@
 // per-component models), enumerates each component's models on an
 // incremental CDCL solver (see sat.go and enum.go), and combines the
 // fragments lazily: Enumerate streams combined models one at a time —
-// the first model is observable long before the enumeration completes —
-// and components can be solved in parallel (Options.Workers) without
-// changing the stream. It also provides the head-cycle-freeness test and
-// the shift transformation sh(Π) of Section 6 (Ben-Eliyahu & Dechter).
+// the first model is observable long before the enumeration completes. It
+// also provides the head-cycle-freeness test and the shift transformation
+// sh(Π) of Section 6 (Ben-Eliyahu & Dechter).
 package stable
 
 import (
 	"context"
 	"errors"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ground"
 )
@@ -27,22 +24,12 @@ import (
 type Options struct {
 	// MaxModels caps the number of stable models streamed (0 = no cap).
 	MaxModels int
-	// MaxCandidates caps the number of candidate solver calls consumed by
-	// the demanded model stream (0 = DefaultMaxCandidates); exceeding it
-	// returns ErrCandidateLimit. The budget is charged in demand order —
-	// solves a parallel prefetch performed for models the consumer never
-	// reached are not counted — so whether and where the limit hits is a
-	// pure function of the stream, identical for every Workers value.
-	// Each component is additionally work-bounded by the same limit, so
-	// total solving never exceeds (components+1) × MaxCandidates.
+	// MaxCandidates caps the number of candidate solver calls, summed over
+	// all components (0 = DefaultMaxCandidates); exceeding it returns
+	// ErrCandidateLimit. Components are solved lazily, only as far as the
+	// model stream demands, so whether and where the limit hits is a pure
+	// function of the demanded stream.
 	MaxCandidates int
-	// Workers sets the number of goroutines enumerating components
-	// (<= 1 solves components lazily on the calling goroutine). The
-	// model stream — content, order, and any ErrCandidateLimit cutoff —
-	// is identical for every worker count; workers only overlap the
-	// per-component solves, prefetching at most a bounded window ahead
-	// of the stream.
-	Workers int
 	// Sorted makes Models sort its result lexicographically (the
 	// pre-streaming contract). Enumerate ignores it: the stream order is
 	// the deterministic component-odometer order documented there.
@@ -52,8 +39,7 @@ type Options struct {
 	// persistent solver with learned clauses, saved phases, and a retained
 	// assumption trail. The set of stable models is unchanged, but each
 	// component's discovery order may differ from the persistent solver's;
-	// within either mode the stream stays deterministic and identical for
-	// every Workers value.
+	// within either mode the stream stays deterministic.
 	ScratchSolve bool
 }
 
@@ -82,9 +68,8 @@ func (m Model) Contains(atom int) bool {
 // Ordering contract: models arrive in component-odometer order — components
 // ordered by smallest atom id, each component's models in its solver's
 // discovery order, the last component cycling fastest. The order is a pure
-// function of the program: identical for every Workers value, stable across
-// runs, but NOT lexicographic — collect via Models with Options.Sorted for
-// the lexicographic order.
+// function of the program, stable across runs, but NOT lexicographic —
+// collect via Models with Options.Sorted for the lexicographic order.
 func Enumerate(p *ground.Program, opts Options, yield func(Model) bool) error {
 	return EnumerateCtx(context.Background(), p, opts, yield)
 }
@@ -112,52 +97,13 @@ func EnumerateCtx(ctx context.Context, p *ground.Program, opts Options, yield fu
 		return nil
 	}
 
-	// One shared budget, charged in demand order as models are consumed;
-	// each component also gets a private meter with the same cap as its
-	// work bound (see candidateBudget).
-	shared := &candidateBudget{max: int64(maxCand)}
-	var stopped atomic.Bool
-	stop := func() bool { return stopped.Load() || ctx.Err() != nil }
+	// One budget for every component's candidate solves; the stop hook
+	// aborts an in-flight solve on cancellation.
+	budget := &candidateBudget{max: int64(maxCand)}
+	stop := func() bool { return ctx.Err() != nil }
 	srcs := make([]*modelSource, len(comps))
 	for i, c := range comps {
-		srcs[i] = newModelSource(c, int64(maxCand), shared, stop, opts.ScratchSolve)
-	}
-	if opts.Workers > 1 {
-		// Eager mode for every source: modelAt waits on the cache instead
-		// of touching the enumerator, so exactly one worker ever drives
-		// each solver.
-		for _, ms := range srcs {
-			ms.eager = true
-		}
-		var wg sync.WaitGroup
-		defer func() {
-			// Stop and wake the fillers (they may be parked at the
-			// prefetch window), then wait for them to unwind — promptly,
-			// even on cancellation (in-flight solves abort via the stop
-			// hook).
-			stopped.Store(true)
-			for _, ms := range srcs {
-				ms.mu.Lock()
-				ms.cond.Broadcast()
-				ms.mu.Unlock()
-			}
-			wg.Wait()
-		}()
-		// One filler per component, demand-driven; the semaphore bounds
-		// concurrent solving to Workers. A filler parked at its window
-		// holds no token, so demanded components always make progress.
-		workers := opts.Workers
-		if workers > len(comps) {
-			workers = len(comps)
-		}
-		sem := make(chan struct{}, workers)
-		for _, ms := range srcs {
-			wg.Add(1)
-			go func(ms *modelSource) {
-				defer wg.Done()
-				ms.fill(sem)
-			}(ms)
-		}
+		srcs[i] = &modelSource{e: newEnumerator(c, budget, stop, opts.ScratchSolve)}
 	}
 
 	// Lazy cross-product odometer: idx[i] walks source i's model cache,
@@ -251,128 +197,28 @@ func combine(coreFacts []int, parts []Model) Model {
 	return out
 }
 
-// prefetchWindow bounds how far an eager fill worker may run ahead of the
-// combiner's demand, so a cancelled or capped enumeration with Workers > 1
-// does not waste work draining whole components the consumer never asked
-// for. (Prefetched solves are metered privately and charged to the shared
-// budget only on consumption, so the window affects wasted work, never the
-// stream or its budget cutoff.)
-const prefetchWindow = 64
-
-// modelSource adapts one component enumerator to indexed access, in two
-// modes: lazy (sequential — modelAt pulls the underlying solver on the
-// calling goroutine) and eager (parallel — a worker drains the solver into
-// the cache via fill while modelAt waits). Both expose the identical model
-// sequence, and both charge production costs to the shared budget in the
-// combiner's demand order.
+// modelSource adapts one component enumerator to indexed access: modelAt
+// pulls the solver on demand and caches every model it produced, so the
+// odometer can rewind a component without re-solving it.
 type modelSource struct {
-	e      *enumerator
-	shared *candidateBudget
-	stop   func() bool
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	cache    []Model
-	costs    []int64 // candidate solves spent producing cache[i]
-	tailCost int64   // solves spent discovering the stream's end
-	charged  int     // cache prefix already charged to shared
-	tailDone bool    // tailCost charged
-	want     int     // highest index the combiner has requested
-	done     bool
-	err      error
-	eager    bool
+	e     *enumerator
+	cache []Model
 }
 
-func newModelSource(c *component, maxCand int64, shared *candidateBudget, stop func() bool, scratch bool) *modelSource {
-	ms := &modelSource{
-		e:      newEnumerator(c, &candidateBudget{max: maxCand}, stop, scratch),
-		shared: shared,
-		stop:   stop,
-	}
-	ms.cond = sync.NewCond(&ms.mu)
-	return ms
-}
-
-// fill eagerly drains the enumerator into the cache (parallel mode), at
-// most prefetchWindow models ahead of the combiner's demand, holding a
-// token of the shared worker semaphore only while solving. The enumerator's
-// own stop hook aborts an in-flight solve on cancellation; Enumerate's
-// cleanup broadcasts the cond so a filler parked at the window wakes up and
-// exits.
-func (ms *modelSource) fill(sem chan struct{}) {
-	for {
-		ms.mu.Lock()
-		for !ms.stop() && len(ms.cache) >= ms.want+prefetchWindow {
-			ms.cond.Wait()
-		}
-		ms.mu.Unlock()
-		if ms.stop() {
-			return
-		}
-		sem <- struct{}{}
-		m, cost, ok := ms.e.next()
-		<-sem
-		ms.mu.Lock()
+// modelAt returns the j-th model of the component, solving as needed;
+// ok=false after the stream's end, with the enumerator's error (if any).
+// The odometer demands indices sequentially, so the solves charged to the
+// budget — and hence any ErrCandidateLimit cutoff — are a pure function of
+// the stream.
+func (ms *modelSource) modelAt(j int) (Model, bool, error) {
+	for len(ms.cache) <= j {
+		m, ok := ms.e.next()
 		if !ok {
-			ms.done = true
-			ms.err = ms.e.err
-			ms.tailCost = cost
-			ms.cond.Broadcast()
-			ms.mu.Unlock()
-			return
+			return nil, false, ms.e.err
 		}
 		ms.cache = append(ms.cache, m)
-		ms.costs = append(ms.costs, cost)
-		ms.cond.Broadcast()
-		ms.mu.Unlock()
 	}
-}
-
-// modelAt returns the j-th model of the component, pulling (lazy) or
-// waiting (eager) as needed; ok=false after the stream's end. Production
-// costs are charged to the shared budget here, in demand order — the
-// combiner demands indices sequentially, so the charge sequence (and hence
-// any ErrCandidateLimit cutoff) is a pure function of the stream.
-func (ms *modelSource) modelAt(j int) (Model, bool, error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if ms.eager {
-		if j > ms.want {
-			ms.want = j
-			ms.cond.Broadcast() // raise the filler's prefetch window
-		}
-		for len(ms.cache) <= j && !ms.done {
-			ms.cond.Wait()
-		}
-	} else {
-		for len(ms.cache) <= j && !ms.done {
-			m, cost, ok := ms.e.next()
-			if !ok {
-				ms.done = true
-				ms.err = ms.e.err
-				ms.tailCost = cost
-				break
-			}
-			ms.cache = append(ms.cache, m)
-			ms.costs = append(ms.costs, cost)
-		}
-	}
-	for ms.charged <= j && ms.charged < len(ms.cache) {
-		if !ms.shared.takeN(ms.costs[ms.charged]) {
-			return nil, false, ErrCandidateLimit
-		}
-		ms.charged++
-	}
-	if j < len(ms.cache) {
-		return ms.cache[j], true, nil
-	}
-	if !ms.tailDone {
-		ms.tailDone = true
-		if !ms.shared.takeN(ms.tailCost) && ms.err == nil {
-			ms.err = ErrCandidateLimit
-		}
-	}
-	return nil, false, ms.err
+	return ms.cache[j], true, nil
 }
 
 // Models enumerates the stable models of the ground program into a slice.

@@ -1,6 +1,8 @@
 package stable
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -65,40 +67,16 @@ func TestEnumerateStreamsFirstModel(t *testing.T) {
 	}
 }
 
-// TestWorkersCancelStaysWithinBudget guards the bounded-prefetch contract:
-// with Workers > 1 a consumer that cancels at the first model must not
-// have the fill workers eagerly drain the whole component through the
-// candidate budget — the same budget that admits the first model
-// sequentially must admit it in parallel.
-func TestWorkersCancelStaysWithinBudget(t *testing.T) {
-	gp := groundProgram(t, linkedChoiceProgram(8)) // single component, 2^8 models
-	for trial := 0; trial < 20; trial++ {
-		var got Model
-		calls := 0
-		if err := Enumerate(gp, Options{MaxCandidates: 90, Workers: 4}, func(m Model) bool {
-			calls++
-			got = m
-			return false
-		}); err != nil {
-			t.Fatalf("trial %d: parallel first-model stream err = %v", trial, err)
-		}
-		if calls != 1 || len(got) != 9 {
-			t.Fatalf("trial %d: calls=%d first model=%v", trial, calls, got)
-		}
-	}
-}
-
 // TestBudgetCutoffIdenticalAcrossWorkers pins the demand-order budget
 // contract: whether (and where in the stream) MaxCandidates trips is a pure
-// function of the demanded prefix, so for any budget an enumeration yields
-// the same models and the same error at every worker count — parallel
-// prefetch must never spend the shared budget on models the combiner has
-// not consumed.
+// function of the demanded prefix. The golden rows — models yielded, an
+// FNV-64a hash of the stream, and the error, per (budget, maxModels) cell
+// and solver mode — were recorded when the engine still had a parallel
+// prefetch path and every worker count produced exactly these outcomes.
 func TestBudgetCutoffIdenticalAcrossWorkers(t *testing.T) {
 	// Two independent 2^6-model components plus one trivial one: the
 	// odometer exhausts the last component's models 64 times over while
-	// the first crawls, so eager prefetch and lazy demand diverge wildly
-	// in solve order.
+	// the first crawls.
 	p := &logic.Program{Rules: []logic.Rule{
 		{Head: []term.Atom{atom("seedA")}},
 		{Head: []term.Atom{atom("seedB")}},
@@ -115,32 +93,78 @@ func TestBudgetCutoffIdenticalAcrossWorkers(t *testing.T) {
 			})
 	}
 	gp := groundProgram(t, p)
-	type outcome struct {
-		models []Model
-		err    error
+	const empty = 0xcbf29ce484222325 // FNV-64a of no input
+	golden := []struct {
+		scratch           bool
+		budget, maxModels int
+		models            int
+		hash              uint64
+		err               error
+	}{
+		{false, 1, 0, 0, empty, ErrCandidateLimit},
+		{false, 1, 1, 0, empty, ErrCandidateLimit},
+		{false, 1, 100, 0, empty, ErrCandidateLimit},
+		{false, 3, 0, 2, 0xf4438a8768427944, ErrCandidateLimit},
+		{false, 3, 1, 1, 0x93e406e4e6531a9e, nil},
+		{false, 3, 100, 2, 0xf4438a8768427944, ErrCandidateLimit},
+		{false, 7, 0, 6, 0xa24ee33363f3fa8a, ErrCandidateLimit},
+		{false, 7, 1, 1, 0x93e406e4e6531a9e, nil},
+		{false, 7, 100, 6, 0xa24ee33363f3fa8a, ErrCandidateLimit},
+		{false, 20, 0, 19, 0x1d2b05d9d488abba, ErrCandidateLimit},
+		{false, 20, 1, 1, 0x93e406e4e6531a9e, nil},
+		{false, 20, 100, 19, 0x1d2b05d9d488abba, ErrCandidateLimit},
+		{false, 65, 0, 64, 0x8b98d5d3d78c92f5, ErrCandidateLimit},
+		{false, 65, 1, 1, 0x93e406e4e6531a9e, nil},
+		{false, 65, 100, 64, 0x8b98d5d3d78c92f5, ErrCandidateLimit},
+		{false, 130, 0, 4096, 0x737cc5a463a32995, nil},
+		{false, 130, 1, 1, 0x93e406e4e6531a9e, nil},
+		{false, 130, 100, 100, 0x6658ab1a2c608ea7, nil},
+		{false, 300, 0, 4096, 0x737cc5a463a32995, nil},
+		{false, 300, 1, 1, 0x93e406e4e6531a9e, nil},
+		{false, 300, 100, 100, 0x6658ab1a2c608ea7, nil},
+		{false, 5000, 0, 4096, 0x737cc5a463a32995, nil},
+		{false, 5000, 1, 1, 0x93e406e4e6531a9e, nil},
+		{false, 5000, 100, 100, 0x6658ab1a2c608ea7, nil},
+		{true, 1, 0, 0, empty, ErrCandidateLimit},
+		{true, 1, 1, 0, empty, ErrCandidateLimit},
+		{true, 1, 100, 0, empty, ErrCandidateLimit},
+		{true, 3, 0, 2, 0xf4438a8768427944, ErrCandidateLimit},
+		{true, 3, 1, 1, 0x93e406e4e6531a9e, nil},
+		{true, 3, 100, 2, 0xf4438a8768427944, ErrCandidateLimit},
+		{true, 7, 0, 6, 0xa24ee33363f3fa8a, ErrCandidateLimit},
+		{true, 7, 1, 1, 0x93e406e4e6531a9e, nil},
+		{true, 7, 100, 6, 0xa24ee33363f3fa8a, ErrCandidateLimit},
+		{true, 20, 0, 19, 0x9aab80f4c28d3446, ErrCandidateLimit},
+		{true, 20, 1, 1, 0x93e406e4e6531a9e, nil},
+		{true, 20, 100, 19, 0x9aab80f4c28d3446, ErrCandidateLimit},
+		{true, 65, 0, 64, 0xdda9df57c378b8bd, ErrCandidateLimit},
+		{true, 65, 1, 1, 0x93e406e4e6531a9e, nil},
+		{true, 65, 100, 64, 0xdda9df57c378b8bd, ErrCandidateLimit},
+		{true, 130, 0, 4096, 0xce50f53af0c1a1c5, nil},
+		{true, 130, 1, 1, 0x93e406e4e6531a9e, nil},
+		{true, 130, 100, 100, 0x9fbeeddee69df859, nil},
+		{true, 300, 0, 4096, 0xce50f53af0c1a1c5, nil},
+		{true, 300, 1, 1, 0x93e406e4e6531a9e, nil},
+		{true, 300, 100, 100, 0x9fbeeddee69df859, nil},
+		{true, 5000, 0, 4096, 0xce50f53af0c1a1c5, nil},
+		{true, 5000, 1, 1, 0x93e406e4e6531a9e, nil},
+		{true, 5000, 100, 100, 0x9fbeeddee69df859, nil},
 	}
-	collect := func(budget, workers, maxModels int) outcome {
-		var out []Model
-		err := Enumerate(gp, Options{MaxCandidates: budget, Workers: workers, MaxModels: maxModels}, func(m Model) bool {
-			out = append(out, m)
+	for _, g := range golden {
+		h := fnv.New64a()
+		n := 0
+		opts := Options{MaxCandidates: g.budget, MaxModels: g.maxModels, ScratchSolve: g.scratch}
+		err := Enumerate(gp, opts, func(m Model) bool {
+			n++
+			for _, a := range m {
+				fmt.Fprintf(h, "%d,", a)
+			}
+			fmt.Fprint(h, ";")
 			return true
 		})
-		return outcome{out, err}
-	}
-	for _, budget := range []int{1, 3, 7, 20, 65, 130, 300, 5000} {
-		for _, maxModels := range []int{0, 1, 100} {
-			seq := collect(budget, 1, maxModels)
-			for _, workers := range []int{2, 4} {
-				par := collect(budget, workers, maxModels)
-				if seq.err != par.err {
-					t.Fatalf("budget=%d maxModels=%d workers=%d: err %v vs sequential %v",
-						budget, maxModels, workers, par.err, seq.err)
-				}
-				if !reflect.DeepEqual(seq.models, par.models) {
-					t.Fatalf("budget=%d maxModels=%d workers=%d: %d models vs sequential %d",
-						budget, maxModels, workers, len(par.models), len(seq.models))
-				}
-			}
+		if err != g.err || n != g.models || h.Sum64() != g.hash {
+			t.Errorf("scratch=%v budget=%d maxModels=%d: %d models (hash %#x), err %v; want %d (%#x), err %v",
+				g.scratch, g.budget, g.maxModels, n, h.Sum64(), err, g.models, g.hash, g.err)
 		}
 	}
 }
@@ -173,35 +197,6 @@ func TestEnumerateCancelMidStream(t *testing.T) {
 	}
 	if seen != 7 {
 		t.Fatalf("yield ran %d times after cancellation at 7", seen)
-	}
-}
-
-// TestEnumerateWorkersIdenticalStream pins the parallel contract: the model
-// stream — content and order — is byte-identical for every worker count, on
-// randomized multi-component programs.
-func TestEnumerateWorkersIdenticalStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 60; trial++ {
-		p := randomGroundProgramClean(rng, 8)
-		collect := func(workers int) ([]Model, error) {
-			var out []Model
-			err := Enumerate(p, Options{Workers: workers}, func(m Model) bool {
-				out = append(out, m)
-				return true
-			})
-			return out, err
-		}
-		seq, errSeq := collect(1)
-		for _, workers := range []int{2, 4} {
-			par, errPar := collect(workers)
-			if (errSeq == nil) != (errPar == nil) {
-				t.Fatalf("trial %d: errors differ: %v vs %v", trial, errSeq, errPar)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("trial %d: workers=%d stream differs\nseq: %v\npar: %v\nprogram:\n%s",
-					trial, workers, seq, par, p)
-			}
-		}
 	}
 }
 

@@ -18,8 +18,10 @@ type CreateSessionRequest struct {
 	InstanceText    string         `json:"instance_text,omitempty"`
 	Constraints     *ConstraintSet `json:"constraints,omitempty"`
 	ConstraintsText string         `json:"constraints_text,omitempty"`
-	// Engine (an internal/engine registry name), Workers, and the
-	// shedding budgets configure every request served by this session.
+	// Engine (an internal/engine registry name) and the shedding budgets
+	// configure every request served by this session. Workers is kept for
+	// compatibility: engines answer each request sequentially, so only 0
+	// and 1 are accepted and larger values are rejected.
 	Engine        string `json:"engine,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
 	MaxStates     int    `json:"max_states,omitempty"`
@@ -53,10 +55,11 @@ type QueryRequest struct {
 	Query string `json:"query"`
 	// Semantics selects certain (default) or possible (brave) answers.
 	Semantics string `json:"semantics,omitempty"`
-	// Engine and Workers override the session's engine for this request
-	// only, with any registry name (including direct and auto). An
-	// override answers from a throwaway session over the current head:
-	// correct, but without the session's caches.
+	// Engine overrides the session's engine for this request only, with
+	// any registry name (including direct and auto). An override answers
+	// from a throwaway session over the current head: correct, but
+	// without the session's caches. Workers accepts only 0 and 1, as in
+	// CreateSessionRequest.
 	Engine  string `json:"engine,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 }

@@ -19,10 +19,8 @@ import (
 	"repro/internal/value"
 )
 
-// The facade is session-first: NewSession is the primary entry point, the
-// ...Ctx one-shots are adapters over a throwaway session, and the original
-// flat one-shots survive as thin deprecated wrappers around the Ctx
-// variants. Options structs are the single configuration path — there are
+// The facade is session-first: NewSession is the primary entry point and
+// the ...Ctx one-shots are adapters over a throwaway session. Options structs are the single configuration path — there are
 // no other knobs — and every long-running entry point takes a
 // context.Context whose cancellation aborts the enumeration with ctx.Err().
 
@@ -103,18 +101,17 @@ type (
 	// Engine selects the pipeline; each engine reads its own section and
 	// ignores the rest:
 	//
-	//   - EngineSearch reads Repair (Mode, MaxStates, Workers,
-	//     ScratchProbe; Repair.Seed is session-owned and any caller value
-	//     is ignored).
+	//   - EngineSearch reads Repair (Mode, MaxStates, ScratchProbe;
+	//     Repair.Seed is session-owned and any caller value is ignored).
 	//   - EngineProgram reads Variant, Stable (MaxModels, MaxCandidates,
-	//     Workers, ScratchSolve) and Ground (Workers, Naive).
+	//     ScratchSolve) and Ground (Naive).
 	//   - EngineProgramCautious reads the same fields as EngineProgram.
 	CQAOptions = core.Options
 	// RepairOptions configures direct repair enumeration (mode, state
-	// budget, worker pool).
+	// budget).
 	RepairOptions = repair.Options
 	// StableOptions configures stable-model enumeration (model and
-	// candidate budgets, worker pool).
+	// candidate budgets).
 	StableOptions = stable.Options
 	// QueryOptions configures direct query evaluation (null-handling
 	// mode).
@@ -209,9 +206,11 @@ func EngineNames() []string { return engine.Names() }
 func Engines() []EngineSpec { return engine.All() }
 
 // EngineOptionsByName maps a registry name ("search", "program",
-// "cautious", "direct", "auto") and a worker count onto CQA options —
-// exactly the mapping the cqa CLI and cqad daemon apply to their engine
-// selections. Unknown names fail with *engine.UnknownError.
+// "cautious", "direct", "auto") onto CQA options — exactly the mapping the
+// cqa CLI and cqad daemon apply to their engine selections. Unknown names
+// fail with *engine.UnknownError. workers is the wire schema's worker
+// count: every engine answers a request sequentially, so 0 and 1 are
+// accepted and anything larger fails with *engine.WorkersError.
 func EngineOptionsByName(name string, workers int) (CQAOptions, error) {
 	return engine.Options(name, workers)
 }
@@ -359,60 +358,4 @@ func EvalQuery(d *Instance, q *Query) ([]Tuple, error) { return query.Eval(d, q)
 // EvalQueryWith evaluates q with an explicit null-handling mode.
 func EvalQueryWith(d *Instance, q *Query, opts QueryOptions) ([]Tuple, error) {
 	return query.EvalWith(d, q, opts)
-}
-
-// Deprecated flat wrappers. Each delegates to its ...Ctx variant with
-// context.Background(); they remain for source compatibility and add no
-// behaviour.
-
-// ConsistentAnswers computes the certain answers of q over all repairs.
-//
-// Deprecated: use ConsistentAnswersCtx, or a Session for repeated answers.
-func ConsistentAnswers(d *Instance, set *ConstraintSet, q *Query, opts CQAOptions) (Answer, error) {
-	return ConsistentAnswersCtx(context.Background(), d, set, q, opts)
-}
-
-// PossibleAnswers computes the brave answers (true in some repair).
-//
-// Deprecated: use PossibleAnswersCtx, or a Session for repeated answers.
-func PossibleAnswers(d *Instance, set *ConstraintSet, q *Query, opts CQAOptions) ([]Tuple, error) {
-	return PossibleAnswersCtx(context.Background(), d, set, q, opts)
-}
-
-// Repairs enumerates Rep(D, IC) under the paper's null-based semantics.
-//
-// Deprecated: use RepairsCtx.
-func Repairs(d *Instance, set *ConstraintSet) (RepairResult, error) {
-	return RepairsCtx(context.Background(), d, set, RepairOptions{})
-}
-
-// RepairsWith enumerates repairs with explicit options (classic baseline,
-// state limits).
-//
-// Deprecated: use RepairsCtx.
-func RepairsWith(d *Instance, set *ConstraintSet, opts RepairOptions) (RepairResult, error) {
-	return RepairsCtx(context.Background(), d, set, opts)
-}
-
-// RepairsD enumerates the deletion-preferring class Rep_d.
-//
-// Deprecated: use RepairsDCtx.
-func RepairsD(d *Instance, set *ConstraintSet) (RepairResult, error) {
-	return RepairsDCtx(context.Background(), d, set, RepairOptions{})
-}
-
-// IsRepair decides repair checking by membership in the enumerated repair
-// set.
-//
-// Deprecated: use IsRepairCtx.
-func IsRepair(d *Instance, set *ConstraintSet, cand *Instance) (bool, error) {
-	return IsRepairCtx(context.Background(), d, set, cand, RepairOptions{})
-}
-
-// StableModelRepairs computes repairs via stable models of the repair
-// program (corrected variant).
-//
-// Deprecated: use StableModelRepairsCtx.
-func StableModelRepairs(d *Instance, set *ConstraintSet) ([]*Instance, error) {
-	return StableModelRepairsCtx(context.Background(), d, set, StableOptions{})
 }
