@@ -146,12 +146,6 @@ func run(args []string) (retErr error) {
 	}
 }
 
-// engineOptions maps the -engine flag onto session options via the shared
-// registry; the answers and session commands share the mapping.
-func engineOptions(name string) (core.Options, error) {
-	return engine.Options(name, 0)
-}
-
 // emitJSON writes one compact wire document per line, exactly as the cqad
 // daemon serializes the same type — which is what makes CLI and HTTP
 // outputs byte-comparable.
@@ -255,8 +249,8 @@ func cmdRepairs(d *relational.Instance, set *constraint.Set, name string, classi
 	}
 }
 
-func cmdAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, engine string, jsonOut bool) error {
-	opts, err := engineOptions(engine)
+func cmdAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, engineName string, jsonOut bool) error {
+	opts, err := engine.Options(engineName, 0)
 	if err != nil {
 		return err
 	}

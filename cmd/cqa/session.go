@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/constraint"
+	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relational"
@@ -42,8 +43,8 @@ func preparedResponse(p *session.Prepared) wire.AnswerResponse {
 // text: wire.AnswerResponse for query lines, wire.ApplyResponse for
 // insert/delete lines — the same documents the cqad daemon serves, so a
 // script replayed over HTTP is byte-comparable to this output.
-func cmdSession(d *relational.Instance, set *constraint.Set, script string, engine string, jsonOut bool) error {
-	opts, err := engineOptions(engine)
+func cmdSession(d *relational.Instance, set *constraint.Set, script string, engineName string, jsonOut bool) error {
+	opts, err := engine.Options(engineName, 0)
 	if err != nil {
 		return err
 	}
@@ -55,7 +56,7 @@ func cmdSession(d *relational.Instance, set *constraint.Set, script string, engi
 	s := session.New(d, set, opts)
 	if !jsonOut {
 		fmt.Printf("session: %d facts, %d constraints, engine %s\n",
-			d.Len(), len(set.ICs)+len(set.NNCs), engine)
+			d.Len(), len(set.ICs)+len(set.NNCs), engineName)
 	}
 
 	// Standing queries in registration order, with their pending

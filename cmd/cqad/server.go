@@ -34,12 +34,9 @@ type config struct {
 	MaxSessions int
 	// now is the clock, injectable for eviction tests.
 	now func() time.Time
-	// maxBody caps request bodies (0 means maxBodyBytes), injectable so
-	// the 413 path can be tested without a 64 MiB body.
-	maxBody int64
 }
 
-// maxBodyBytes is the default request-body cap. The largest documents are
+// maxBodyBytes is the request-body cap. The largest documents are
 // session creations with inline instances — a few hundred KiB for
 // thousands of facts — so the cap only stops a single request from
 // exhausting the daemon's memory.
@@ -68,9 +65,6 @@ func newServer(cfg config) *server {
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
-	}
-	if cfg.maxBody <= 0 {
-		cfg.maxBody = maxBodyBytes
 	}
 	s := &server{cfg: cfg, mux: http.NewServeMux(), tenants: map[string]*tenant{}}
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/sessions", s.handleCreate)
@@ -298,10 +292,10 @@ func shed(w http.ResponseWriter, t *tenant) bool {
 	return true
 }
 
-// decode reads a JSON request body of at most cfg.maxBody bytes, writing
+// decode reads a JSON request body of at most maxBodyBytes bytes, writing
 // the 400 (malformed) or 413 (too large) itself on failure.
-func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -362,7 +356,7 @@ type (
 
 func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Name == "" || strings.ContainsAny(req.Name, "/ ") {
@@ -419,6 +413,10 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		lastUsed: s.cfg.now(),
 		subs:     map[int]chan []byte{},
 	}
+	// The first violation pass runs while ls is still private, so it needs
+	// no lock and a panic in it cannot leave a published session locked.
+	consistent := ls.s.Consistent()
+	resolved := engine.NameOf(ls.s.Options().Engine)
 	t.mu.Lock()
 	switch {
 	case t.sessions[req.Name] != nil:
@@ -434,11 +432,6 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	t.sessions[req.Name] = ls
 	t.mu.Unlock()
-
-	ls.mu.Lock()
-	consistent := ls.s.Consistent()
-	resolved := engine.NameOf(ls.s.Options().Engine)
-	ls.mu.Unlock()
 	writeJSON(w, http.StatusCreated, createSessionResponse{
 		Tenant:      t.name,
 		Name:        req.Name,
@@ -468,7 +461,7 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.release()
 	var req applyRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	var delta relational.Delta
@@ -544,7 +537,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.release()
 	var req queryRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	q, err := parser.Query(req.Query)
@@ -621,7 +614,7 @@ func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.release()
 	var req prepareRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	q, err := parser.Query(req.Query)

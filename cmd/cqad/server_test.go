@@ -35,7 +35,12 @@ func newTestServer(t *testing.T, cfg config) (*server, *httptest.Server) {
 
 func doJSON(t *testing.T, method, url, body string) (int, string) {
 	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	return doBody(t, method, url, strings.NewReader(body))
+}
+
+func doBody(t *testing.T, method, url string, body io.Reader) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,47 +434,55 @@ func TestLoadShedding(t *testing.T) {
 
 // TestErrorPaths pins the HTTP mapping of the remaining typed errors.
 func TestErrorPaths(t *testing.T) {
-	const maxBody = 4 << 10
-	_, hs := newTestServer(t, config{maxBody: maxBody})
+	_, hs := newTestServer(t, config{})
 	base := hs.URL
 	createSession(t, base, "acme", "s1", "")
 	s1 := base + "/v1/tenants/acme/sessions/s1"
 
+	// An over-cap body is streamed (a JSON prefix then endless spaces), so
+	// the client never holds maxBodyBytes in memory.
+	oversized := io.MultiReader(strings.NewReader(`{"query":"`),
+		io.LimitReader(spaces{}, maxBodyBytes+1))
 	cases := []struct {
 		name, method, url, body string
+		stream                  io.Reader // sent instead of body when set
 		status                  int
 		wantIn                  string
 	}{
 		{"unknown tenant", "POST", base + "/v1/tenants/nope/sessions/s/query", `{"query":"q() :- r(a, b)."}`,
-			http.StatusNotFound, "unknown_tenant"},
+			nil, http.StatusNotFound, "unknown_tenant"},
 		{"unknown session", "POST", base + "/v1/tenants/acme/sessions/nope/query", `{"query":"q() :- r(a, b)."}`,
-			http.StatusNotFound, "unknown_session"},
+			nil, http.StatusNotFound, "unknown_session"},
 		{"duplicate session", "POST", base + "/v1/tenants/acme/sessions",
 			fmt.Sprintf(`{"name":"s1","instance_text":%q}`, "r(a, b)."),
-			http.StatusConflict, "session_exists"},
+			nil, http.StatusConflict, "session_exists"},
 		{"bad session name", "POST", base + "/v1/tenants/acme/sessions", `{"name":"a/b","instance_text":"r(a, b)."}`,
-			http.StatusBadRequest, "bad_name"},
+			nil, http.StatusBadRequest, "bad_name"},
 		{"unknown body field", "POST", s1 + "/query", `{"qqq":"?"}`,
-			http.StatusBadRequest, "bad_request"},
+			nil, http.StatusBadRequest, "bad_request"},
 		{"parse error with position", "POST", s1 + "/query", `{"query":"q(V) :- s(U, ."}`,
-			http.StatusBadRequest, `"line":1`},
+			nil, http.StatusBadRequest, `"line":1`},
 		{"bad semantics", "POST", s1 + "/query", `{"query":"q() :- r(a, b).","semantics":"brave"}`,
-			http.StatusBadRequest, "bad_semantics"},
+			nil, http.StatusBadRequest, "bad_semantics"},
 		{"bad engine override", "POST", s1 + "/query", `{"query":"q() :- r(a, b).","engine":"quantum"}`,
-			http.StatusBadRequest, "bad_engine"},
+			nil, http.StatusBadRequest, "bad_engine"},
 		{"bad engine at create", "POST", base + "/v1/tenants/acme/sessions", `{"name":"s9","instance_text":"r(a, b).","engine":"quantum"}`,
-			http.StatusBadRequest, "bad_engine"},
+			nil, http.StatusBadRequest, "bad_engine"},
 		{"workers above 1 at create", "POST", base + "/v1/tenants/acme/sessions", `{"name":"s9","instance_text":"r(a, b).","workers":4}`,
-			http.StatusBadRequest, "bad_workers"},
+			nil, http.StatusBadRequest, "bad_workers"},
 		{"workers above 1 on query", "POST", s1 + "/query", `{"query":"q() :- r(a, b).","workers":2}`,
-			http.StatusBadRequest, "bad_workers"},
-		{"body too large", "POST", s1 + "/query", `{"query":"q() :- r(a, b).` + strings.Repeat(" ", maxBody) + `"}`,
+			nil, http.StatusBadRequest, "bad_workers"},
+		{"body too large", "POST", s1 + "/query", "", oversized,
 			http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"conflicting standing query", "POST", s1 + "/prepare", `{"query":"q(X) :- r(X, Y)."}`,
-			0, ""}, // primer: registers q
+			nil, 0, ""}, // primer: registers q
 	}
 	for _, tc := range cases {
-		code, resp := doJSON(t, tc.method, tc.url, tc.body)
+		body := io.Reader(strings.NewReader(tc.body))
+		if tc.stream != nil {
+			body = tc.stream
+		}
+		code, resp := doBody(t, tc.method, tc.url, body)
 		if tc.status == 0 {
 			continue
 		}
@@ -482,6 +495,16 @@ func TestErrorPaths(t *testing.T) {
 	if code != http.StatusConflict || !strings.Contains(resp, "query_exists") {
 		t.Errorf("conflicting standing query: %d %s, want 409 query_exists", code, resp)
 	}
+}
+
+// spaces is an endless reader of ASCII spaces.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestEnginePanicEvictsSession pins that a panic inside a session's

@@ -161,8 +161,7 @@ func posVars(r logic.Rule) []string {
 
 // TestDifferentialFixpointsAndWorkers pins the core determinism invariant:
 // for random programs, the semi-naive and naive fixpoints render the same
-// program byte for byte. (The rule-instantiation worker pool it once also
-// compared against is gone; instantiation is sequential.)
+// program byte for byte.
 func TestDifferentialFixpointsAndWorkers(t *testing.T) {
 	variants := []Options{
 		{},

@@ -170,8 +170,9 @@ func answersEqual(a, b session.Answer) bool {
 
 func TestSessionEqualsScratchDifferential(t *testing.T) {
 	engines := []session.Engine{session.EngineSearch, session.EngineProgram, session.EngineProgramCautious}
-	// Options come from the engine registry with the wire schema's worker
-	// count 1 (sequential, the only mode), as the CLI and daemon build them.
+	// Options come from the engine registry, as the CLI and daemon build
+	// them; the wire schema's worker count 1 (sequential) also names each
+	// subtest and seeds its generator.
 	const workers = 1
 	pool := factPool()
 	for _, tc := range diffCases {

@@ -2,8 +2,8 @@ package stable
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -48,37 +48,54 @@ func TestScratchSolveMatchesPersistent(t *testing.T) {
 
 // TestScratchSolveBudgetDeterminism checks that the candidate budget cutoff
 // in scratch mode is, like the persistent mode's, a pure function of the
-// demanded stream: each budget yields the golden prefix and error, recorded
-// when every worker count of the former parallel path agreed on them, and a
-// repeated run reproduces it. (The two modes may legitimately cut off at
-// different points — candidate counts differ when discovery orders do — so
-// scratch mode is only compared with itself; TestBudgetCutoffIdenticalAcrossWorkers
-// pins both modes on a program with models.)
+// demanded stream. The fixture has five stable models and trips
+// MaxCandidates after one, two and four of them; each budget must yield the
+// golden prefix (count and FNV-64a hash) and error, and a repeated run must
+// reproduce it. (The two modes may legitimately cut off at different points
+// — candidate counts differ when discovery orders do — so scratch mode is
+// only compared with itself.)
 func TestScratchSolveBudgetDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
+	rng := rand.New(rand.NewSource(123))
 	p := randomGroundProgramClean(rng, 7)
 	type outcome struct {
-		models []string
+		models int
+		hash   uint64
 		err    error
 	}
 	collect := func(budget int) outcome {
+		h := fnv.New64a()
 		var out outcome
 		out.err = Enumerate(p, Options{ScratchSolve: true, MaxCandidates: budget},
 			func(m Model) bool {
-				out.models = append(out.models, fmt.Sprint([]int(m)))
+				out.models++
+				for _, a := range m {
+					fmt.Fprintf(h, "%d,", a)
+				}
+				fmt.Fprint(h, ";")
 				return true
 			})
+		out.hash = h.Sum64()
 		return out
 	}
-	// This fixture has no stable model: every budget yields an empty,
-	// error-free stream.
-	for _, budget := range []int{1, 2, 4, 8, 1 << 16} {
-		first, again := collect(budget), collect(budget)
-		if first.err != nil || len(first.models) != 0 {
-			t.Fatalf("budget=%d: %d models, err %v; want 0, <nil>", budget, len(first.models), first.err)
+	golden := []struct {
+		budget int
+		want   outcome
+	}{
+		{1, outcome{1, 0x23221e1804cdba5d, ErrCandidateLimit}},
+		{2, outcome{2, 0x08cc8f5c2cb6b47a, ErrCandidateLimit}},
+		{4, outcome{4, 0x6b3580c5bcc5dae5, ErrCandidateLimit}},
+		{8, outcome{5, 0x2163d2552c1439b1, nil}},
+		{1 << 16, outcome{5, 0x2163d2552c1439b1, nil}},
+	}
+	for _, g := range golden {
+		first, again := collect(g.budget), collect(g.budget)
+		if first != g.want {
+			t.Errorf("budget=%d: %d models (hash %#x), err %v; want %d (%#x), err %v",
+				g.budget, first.models, first.hash, first.err, g.want.models, g.want.hash, g.want.err)
 		}
-		if again.err != first.err || !reflect.DeepEqual(again.models, first.models) {
-			t.Fatalf("budget=%d: repeated run differs: %d models, err %v", budget, len(again.models), again.err)
+		if again != first {
+			t.Errorf("budget=%d: repeated run differs: %d models (hash %#x), err %v",
+				g.budget, again.models, again.hash, again.err)
 		}
 	}
 }

@@ -69,10 +69,9 @@ func TestEnumerateStreamsFirstModel(t *testing.T) {
 
 // TestBudgetCutoffIdenticalAcrossWorkers pins the demand-order budget
 // contract: whether (and where in the stream) MaxCandidates trips is a pure
-// function of the demanded prefix. The golden rows — models yielded, an
-// FNV-64a hash of the stream, and the error, per (budget, maxModels) cell
-// and solver mode — were recorded when the engine still had a parallel
-// prefetch path and every worker count produced exactly these outcomes.
+// function of the demanded prefix. The golden rows give the models
+// yielded, an FNV-64a hash of the stream, and the error, per (budget,
+// maxModels) cell and solver mode.
 func TestBudgetCutoffIdenticalAcrossWorkers(t *testing.T) {
 	// Two independent 2^6-model components plus one trivial one: the
 	// odometer exhausts the last component's models 64 times over while
